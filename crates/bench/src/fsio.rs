@@ -9,11 +9,18 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Per-process sequence for temp names; with the pid it makes every
+/// call's temp file distinct.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Write `contents` to `path` atomically: write a temp file in the same
 /// directory (rename is only atomic within a filesystem), then rename it
-/// over the destination. Each destination has its own temp name, so
-/// concurrent workers journaling different files never collide.
+/// over the destination. Every call writes its own temp file (named by
+/// pid and a process-wide counter), so concurrent writers — to the same
+/// destination or different ones, in one process or several — never
+/// collide; the last rename wins.
 ///
 /// # Errors
 /// Propagates the underlying filesystem error; a partially-written temp
@@ -25,7 +32,8 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
             format!("write_atomic: no file name in '{}'", path.display()),
         )
     })?;
-    let tmp = path.with_file_name(format!(".{file_name}.tmp"));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{file_name}.{}.{seq}.tmp", std::process::id()));
     if let Err(e) = std::fs::write(&tmp, contents) {
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
@@ -57,6 +65,36 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_never_collide() {
+        let dir = std::env::temp_dir().join(format!("fsio-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("status.json");
+        let written: Vec<String> = (0..8)
+            .flat_map(|t| (0..50).map(move |i| format!("writer {t} write {i}")))
+            .collect();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (path, start, written) = (&path, &start, &written);
+                s.spawn(move || {
+                    start.wait();
+                    for contents in &written[t * 50..(t + 1) * 50] {
+                        write_atomic(path, contents).expect("concurrent write_atomic");
+                    }
+                });
+            }
+        });
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(written.contains(&last), "torn or foreign content: {last:?}");
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, ["status.json"], "temp files left behind");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

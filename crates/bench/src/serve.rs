@@ -57,11 +57,11 @@
 //! journal, the worker, and the HTTP surface. See `docs/SERVICE.md`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use vax_analysis::Json;
@@ -76,14 +76,18 @@ use crate::heartbeat::progress_line;
 use crate::jobspec::JobSpec;
 use crate::progress::{Progress, Verbosity};
 
-/// How often the accept loop polls for the drain flag, and how often the
-/// events stream re-samples a running job.
+/// How often the signal watcher checks for SIGTERM/SIGINT, and the
+/// back-off after a failed `accept`. No request waits on it: accept
+/// blocks, and the worker and `/events` streams wake on [`Shared::wake`].
 const POLL: Duration = Duration::from_millis(50);
-/// Events-stream sampling period.
+/// Longest gap between `/events` snapshots of a running job, so its live
+/// progress stays fresh. State transitions are sent as they happen.
 const EVENTS_PERIOD: Duration = Duration::from_millis(200);
 /// Per-connection socket timeout: a stalled client cannot pin its
 /// handler thread forever.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+/// Longest the accept loop spends draining a shed connection's request.
+const SHED_LINGER: Duration = Duration::from_millis(100);
 /// Most unfinished (queued + running) jobs admitted at once.
 const MAX_PENDING_JOBS: usize = 64;
 /// File name of the durable job journal under the serve root.
@@ -338,7 +342,8 @@ fn replay_journal(text: &str) -> (Vec<ReplayedJob>, Vec<String>) {
     (jobs, warnings)
 }
 
-/// Registry guarded by one mutex; the condvar wakes the worker.
+/// Registry guarded by one mutex; every job-state change and the drain
+/// flag are published under it and announced on [`Shared::wake`].
 #[derive(Debug, Default)]
 struct Registry {
     jobs: BTreeMap<String, Job>,
@@ -354,6 +359,8 @@ struct Registry {
 struct Shared {
     opts: ServeOptions,
     registry: Mutex<Registry>,
+    /// Notified on every job-state transition and on drain; the worker
+    /// and `/events` streams wait on it.
     wake: Condvar,
     /// Set by SIGTERM/SIGINT or `POST /shutdown`: refuse new jobs,
     /// finish the current one, exit.
@@ -399,6 +406,84 @@ fn lock_registry(shared: &Shared) -> MutexGuard<'_, Registry> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Move job `id` to `state`, journal the transition, and wake everyone
+/// waiting on the registry (the worker, `/events` streams). The caller
+/// holds the registry lock, so no waiter can check the old state and then
+/// miss the notification.
+fn transition(shared: &Shared, reg: &mut Registry, id: &str, state: JobState) {
+    let code = match state {
+        JobState::Finished { code } => Some(code),
+        _ => None,
+    };
+    reg.journal.append(&journal_state(id, state.name(), code));
+    if let Some(job) = reg.jobs.get_mut(id) {
+        job.state = state;
+    }
+    shared.wake.notify_all();
+}
+
+/// Enter drain (SIGTERM/SIGINT or `POST /shutdown`): refuse new jobs,
+/// let the running one finish. The flag flips under the registry lock for
+/// the same reason as in [`transition`].
+fn begin_drain(shared: &Shared) {
+    let _reg = lock_registry(shared);
+    shared.draining.store(true, Ordering::SeqCst);
+    shared.wake.notify_all();
+}
+
+/// Load-shed an over-cap connection inline, without a handler thread:
+/// answer `503` + `Retry-After`, half-close, then drain what the client
+/// sent for at most [`SHED_LINGER`]. Closing with the request unread would
+/// reset the connection, and the reset can destroy the `503` before the
+/// client reads it.
+fn shed(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let _ = error_response(503, "connection limit reached; retry shortly")
+        .with_header("Retry-After", "1")
+        .write(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_LINGER;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
+            return;
+        }
+    }
+}
+
+/// Ends the blocking accept loop when the worker thread exits, whether
+/// it returns or panics: it raises `done`, then makes one connection to
+/// the listener so the pending `accept` returns and the loop sees the
+/// flag.
+struct AcceptWaker {
+    addr: SocketAddr,
+    done: Arc<AtomicBool>,
+}
+
+impl Drop for AcceptWaker {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::SeqCst);
+        // A failed connect cannot be helped here; the listener is ours
+        // and on loopback, so it does not fail in practice.
+        let _ = TcpStream::connect_timeout(&self.addr, SOCKET_TIMEOUT);
+    }
+}
+
+/// Where to connect to reach a listener bound to `bound`: an unspecified
+/// IP (`0.0.0.0`, `::`) maps to the loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
 /// The daemon's coarse health: `draining` > `recovering` > `ready`.
 fn health_state(shared: &Shared) -> &'static str {
     if shared.draining.load(Ordering::SeqCst) {
@@ -414,7 +499,9 @@ fn health_state(shared: &Shared) -> &'static str {
 mod sig {
     //! Minimal signal hookup without a libc crate: `signal(2)` is in
     //! every libc this build links anyway, and an `AtomicBool` store is
-    //! async-signal-safe. The accept loop polls the flag.
+    //! async-signal-safe. A watcher thread polls the flag (`signal(2)`
+    //! restarts an interrupted `accept`, so the signal alone wakes
+    //! nothing).
     use std::sync::atomic::{AtomicBool, Ordering};
 
     pub static TERMINATE: AtomicBool = AtomicBool::new(false);
@@ -461,10 +548,13 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
             return 1;
         }
     };
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("reproduce serve: cannot configure listener: {e}");
-        return 1;
-    }
+    let bound = match listener.local_addr() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("reproduce serve: cannot read the bound address: {e}");
+            return 1;
+        }
+    };
     if let Err(e) = std::fs::create_dir_all(&opts.root) {
         eprintln!(
             "reproduce serve: cannot create {}: {e}",
@@ -544,19 +634,35 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
         recovering: AtomicUsize::new(recovering),
         connections: AtomicUsize::new(0),
     });
-    // local_addr never fails on a bound listener, but don't panic a
-    // daemon over a log line.
-    let bound = listener
-        .local_addr()
-        .map_or_else(|_| opts.addr.clone(), |a| a.to_string());
     progress.info(&format!(
         "serving on http://{bound} (root {})",
         opts.root.display()
     ));
 
+    let worker_done = Arc::new(AtomicBool::new(false));
     let worker = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || worker_loop(&shared))
+        let waker = AcceptWaker {
+            addr: wake_addr(bound),
+            done: Arc::clone(&worker_done),
+        };
+        std::thread::spawn(move || {
+            let _waker = waker;
+            worker_loop(&shared);
+        })
+    };
+    let watcher = {
+        let shared = Arc::clone(&shared);
+        let done = Arc::clone(&worker_done);
+        std::thread::spawn(move || {
+            while !done.load(Ordering::SeqCst) {
+                if sig::pending() {
+                    begin_drain(&shared);
+                    return;
+                }
+                std::thread::sleep(POLL);
+            }
+        })
     };
 
     // The accept loop outlives the drain signal: status, artifact, and
@@ -564,24 +670,16 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
     // ends when the worker does.
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
-        if sig::pending() {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.wake.notify_all();
-        }
-        if worker.is_finished() {
+        let accepted = listener.accept();
+        if worker_done.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let (slot, active) = ConnectionSlot::acquire(&shared);
                 if active > shared.opts.max_connections {
-                    // Load-shed inline: one small write, then close; the
-                    // slot releases when `slot` drops at scope end.
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-                    let _ = error_response(503, "connection limit reached; retry shortly")
-                        .with_header("Retry-After", "1")
-                        .write(&mut stream);
+                    // The slot releases when `slot` drops at scope end.
+                    shed(stream);
                 } else {
                     let shared = Arc::clone(&shared);
                     handlers.push(std::thread::spawn(move || {
@@ -591,9 +689,6 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
                         handle_connection(stream, &shared);
                     }));
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
             }
             Err(e) => {
                 eprintln!("reproduce serve: accept failed: {e}");
@@ -605,6 +700,7 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
 
     progress.info("draining: finishing the running job");
     let _ = worker.join();
+    let _ = watcher.join();
     for h in handlers {
         let _ = h.join();
     }
@@ -618,22 +714,20 @@ fn worker_loop(shared: &Shared) {
     let engine = JobEngine::new();
     loop {
         let next = {
-            let mut reg = lock_registry(shared);
-            loop {
-                // Check drain BEFORE claiming: a job left queued at
-                // drain stays journaled as queued, so the next daemon on
-                // this root recovers it.
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                if let Some(id) = reg.queue.pop_front() {
-                    break Some(id);
-                }
-                let (guard, _timeout) = shared
-                    .wake
-                    .wait_timeout(reg, POLL)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                reg = guard;
+            let reg = lock_registry(shared);
+            let mut reg = shared
+                .wake
+                .wait_while(reg, |reg| {
+                    reg.queue.is_empty() && !shared.draining.load(Ordering::SeqCst)
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            // Check drain BEFORE claiming: a job left queued at drain
+            // stays journaled as queued, so the next daemon on this root
+            // recovers it.
+            if shared.draining.load(Ordering::SeqCst) {
+                None
+            } else {
+                reg.queue.pop_front()
             }
         };
         let Some(id) = next else { return };
@@ -658,13 +752,11 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
             // Canceled between enqueue and claim; nothing to run.
             return;
         }
-        job.state = JobState::Running;
         job.tracer = Some(tracer.clone());
         job.started = Some(Instant::now());
         job.cancel = cancel.clone();
         let picked = (job.spec.clone(), job.dir.clone(), job.recovered);
-        let record = journal_state(id, "running", None);
-        reg.journal.append(&record);
+        transition(shared, &mut reg, id, JobState::Running);
         picked
     };
     // JobSpec::decode bounds deadline_secs, but a worker panic here is a
@@ -731,7 +823,9 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
         None => JobState::Finished { code: outcome.code },
     };
     // Persist what the CLI would have printed, so it is a downloadable
-    // artifact and part of the byte-identity contract.
+    // artifact and part of the byte-identity contract. Both files land
+    // before the terminal state is published: a client that sees the job
+    // end can fetch them at once.
     if !outcome.stdout.is_empty() {
         if let Err(e) = write_atomic(&dir.join("output.txt"), &outcome.stdout) {
             eprintln!("reproduce serve: job {id}: cannot write output.txt: {e}");
@@ -752,21 +846,7 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
     if let Err(e) = write_atomic(&dir.join("status.json"), &status.to_string_pretty()) {
         eprintln!("reproduce serve: job {id}: cannot write status.json: {e}");
     }
-    {
-        let mut reg = lock_registry(shared);
-        let record = journal_state(
-            id,
-            terminal.name(),
-            match &terminal {
-                JobState::Finished { code } => Some(*code),
-                _ => None,
-            },
-        );
-        if let Some(job) = reg.jobs.get_mut(id) {
-            job.state = terminal;
-        }
-        reg.journal.append(&record);
-    }
+    transition(shared, &mut lock_registry(shared), id, terminal);
     if recovered {
         shared.recovering.fetch_sub(1, Ordering::SeqCst);
     }
@@ -864,8 +944,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Response::json(status, &body)
         }
         ("POST", ["shutdown"]) => {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.wake.notify_all();
+            begin_drain(shared);
             Response::json(202, "{\"draining\": true}")
         }
         (_, ["jobs", ..] | ["shutdown"] | ["healthz"] | ["readyz"]) => {
@@ -935,12 +1014,12 @@ fn submit_job(req: &Request, shared: &Shared) -> Response {
     if let Err(e) = persisted {
         // The job was journaled, so mark it failed rather than erasing
         // it: the live registry and a replayed registry must agree.
-        let mut reg = lock_registry(shared);
-        if let Some(job) = reg.jobs.get_mut(&id) {
-            job.state = JobState::Finished { code: 1 };
-        }
-        let record = journal_state(&id, "failed", Some(1));
-        reg.journal.append(&record);
+        transition(
+            shared,
+            &mut lock_registry(shared),
+            &id,
+            JobState::Finished { code: 1 },
+        );
         return error_response(500, &format!("cannot persist job: {e}"));
     }
     {
@@ -968,18 +1047,19 @@ fn cancel_job(shared: &Shared, id: &str) -> Response {
     };
     match state {
         JobState::Queued => {
-            let (dir, kind, was_recovered) = {
-                let Some(job) = reg.jobs.get_mut(id) else {
-                    return error_response(404, &format!("no job '{id}'"));
-                };
-                job.state = JobState::Canceled {
-                    kind: CancelKind::Canceled,
-                };
-                (job.dir.clone(), job.spec.kind(), job.recovered)
+            let Some(job) = reg.jobs.get(id) else {
+                return error_response(404, &format!("no job '{id}'"));
             };
+            let (dir, kind, was_recovered) = (job.dir.clone(), job.spec.kind(), job.recovered);
             reg.queue.retain(|q| q != id);
-            let record = journal_state(id, "canceled", None);
-            reg.journal.append(&record);
+            transition(
+                shared,
+                &mut reg,
+                id,
+                JobState::Canceled {
+                    kind: CancelKind::Canceled,
+                },
+            );
             drop(reg);
             if was_recovered {
                 shared.recovering.fetch_sub(1, Ordering::SeqCst);
@@ -1132,9 +1212,11 @@ fn get_artifact(shared: &Shared, id: &str, name: &str) -> Response {
 }
 
 /// `GET /jobs/:id/events`: a close-delimited ndjson stream of status
-/// snapshots, one every [`EVENTS_PERIOD`], ending with the terminal
-/// state. The poll-driven shape keeps the handler free of any coupling
-/// to the worker: it reads the same registry the status endpoint does.
+/// snapshots. The first line is the current state; after it, one line per
+/// state transition, plus a fresh progress snapshot at least every
+/// [`EVENTS_PERIOD`] while the job runs. The last line is the terminal
+/// state. The handler reads the same registry the status endpoint does
+/// and waits on the condvar every transition notifies.
 fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) {
     {
         let reg = lock_registry(shared);
@@ -1146,17 +1228,12 @@ fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) {
     if write_streaming_head(stream, 200, "application/x-ndjson").is_err() {
         return;
     }
+    let mut reg = lock_registry(shared);
     loop {
-        let (line, terminal) = {
-            let reg = lock_registry(shared);
-            match reg.jobs.get(id) {
-                None => return,
-                Some(job) => (
-                    status_json(job).to_string_compact(),
-                    job.state.is_terminal(),
-                ),
-            }
-        };
+        let Some(job) = reg.jobs.get(id) else { return };
+        let line = status_json(job).to_string_compact();
+        let seen = job.state.clone();
+        drop(reg);
         if stream
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| stream.flush())
@@ -1164,18 +1241,43 @@ fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) {
         {
             return;
         }
-        if terminal {
+        if seen.is_terminal() {
             return;
         }
+        reg = await_change(shared, id, &seen);
         // A drained daemon never starts its remaining queued jobs; end
         // those streams instead of pinning the drain on a live client.
-        if shared.draining.load(Ordering::SeqCst) {
-            let reg = lock_registry(shared);
-            if reg.jobs.get(id).is_none_or(|j| j.state == JobState::Queued) {
-                return;
-            }
+        if shared.draining.load(Ordering::SeqCst)
+            && reg.jobs.get(id).is_none_or(|j| j.state == JobState::Queued)
+        {
+            return;
         }
-        std::thread::sleep(EVENTS_PERIOD);
+    }
+}
+
+/// Block until job `id` is no longer in state `seen`, or — while it is
+/// queued — until the daemon drains, or — while it runs — for at most
+/// [`EVENTS_PERIOD`], so a fresh progress snapshot can go out. Returns
+/// with the registry locked.
+fn await_change<'a>(shared: &'a Shared, id: &str, seen: &JobState) -> MutexGuard<'a, Registry> {
+    let reg = lock_registry(shared);
+    let unchanged = |reg: &mut Registry| {
+        reg.jobs.get(id).is_some_and(|j| j.state == *seen)
+            && !(*seen == JobState::Queued && shared.draining.load(Ordering::SeqCst))
+    };
+    if *seen == JobState::Running {
+        match shared
+            .wake
+            .wait_timeout_while(reg, EVENTS_PERIOD, unchanged)
+        {
+            Ok((reg, _)) => reg,
+            Err(poisoned) => poisoned.into_inner().0,
+        }
+    } else {
+        shared
+            .wake
+            .wait_while(reg, unchanged)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -1381,6 +1483,84 @@ mod tests {
         assert_eq!(active, 1);
         drop(slot);
         assert_eq!(shared.connections.load(Ordering::SeqCst), 0);
+    }
+
+    /// A registry holding one job `j-000001` in `state`.
+    fn shared_with_job(state: JobState) -> Arc<Shared> {
+        let shared = bare_shared();
+        lock_registry(&shared).jobs.insert(
+            "j-000001".into(),
+            Job {
+                id: "j-000001".into(),
+                spec: run_spec(),
+                dir: PathBuf::new(),
+                state,
+                tracer: None,
+                started: None,
+                cancel: CancelToken::default(),
+                recovered: false,
+            },
+        );
+        shared
+    }
+
+    /// Run `await_change` for `j-000001` from `seen` on its own thread;
+    /// the handle yields the state it woke to and when it woke.
+    fn spawn_waiter(
+        shared: &Arc<Shared>,
+        seen: JobState,
+    ) -> std::thread::JoinHandle<(JobState, Instant)> {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || {
+            let reg = await_change(&shared, "j-000001", &seen);
+            (reg.jobs["j-000001"].state.clone(), Instant::now())
+        })
+    }
+
+    #[test]
+    fn events_wait_wakes_on_a_transition_not_on_the_period() {
+        let shared = shared_with_job(JobState::Running);
+        let waiter = spawn_waiter(&shared, JobState::Running);
+        // Let the waiter block. The assertions hold even if it has not
+        // yet: it then sees the new state as soon as it checks.
+        std::thread::sleep(Duration::from_millis(30));
+        let changed = Instant::now();
+        transition(
+            &shared,
+            &mut lock_registry(&shared),
+            "j-000001",
+            JobState::Finished { code: 0 },
+        );
+        let (state, woke) = waiter.join().unwrap();
+        assert_eq!(state, JobState::Finished { code: 0 });
+        let latency = woke.saturating_duration_since(changed);
+        assert!(
+            latency < Duration::from_millis(20),
+            "woke {latency:?} after the transition (period {EVENTS_PERIOD:?})"
+        );
+    }
+
+    #[test]
+    fn events_wait_for_a_queued_job_ends_at_drain() {
+        let shared = shared_with_job(JobState::Queued);
+        let waiter = spawn_waiter(&shared, JobState::Queued);
+        std::thread::sleep(Duration::from_millis(30));
+        let drained = Instant::now();
+        begin_drain(&shared);
+        let (state, woke) = waiter.join().unwrap();
+        // Still queued: the drain, not a transition, ended the wait.
+        assert_eq!(state, JobState::Queued);
+        assert!(woke.saturating_duration_since(drained) < Duration::from_millis(20));
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:4780".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:4780".parse().unwrap());
+        let v6: SocketAddr = "[::]:4780".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:4780".parse().unwrap());
+        let bound: SocketAddr = "192.0.2.7:80".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! End-to-end exercise of `reproduce serve` over a real loopback socket:
 //! hostile submissions answer typed 4xx, a valid job runs to completion
 //! with downloadable artifacts, a repeated job reports warm-cache hits
-//! in its `runtime.json`, and `POST /shutdown` drains the daemon to a
-//! clean exit.
+//! in its `runtime.json`, the `/events` stream reports each transition
+//! in order, an idle daemon answers without a poll delay, and
+//! `POST /shutdown` drains the daemon to a clean exit.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -387,6 +388,92 @@ fn submissions_during_drain_are_refused() {
             );
         }
     }
+    let exit = daemon.child.wait().expect("wait for daemon");
+    assert!(exit.success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Rank of a job state in its life: queued < running < terminal.
+fn state_rank(line: &str) -> u8 {
+    if line.contains("\"status\":\"queued\"") {
+        0
+    } else if line.contains("\"status\":\"running\"") {
+        1
+    } else {
+        2
+    }
+}
+
+#[test]
+fn events_stream_reports_transitions_in_order_then_closes() {
+    let root = scratch("events");
+    let mut daemon = start_daemon(&root);
+    let addr = daemon.addr.clone();
+
+    // A longer job ahead keeps the followed one queued when its stream
+    // opens, so the stream must carry real transitions.
+    let (status, body) = http_text(
+        &addr,
+        "POST",
+        "/jobs",
+        Some(r#"{"kind": "run", "instructions": 40000, "seed": 7, "shards": 1}"#),
+    );
+    assert_eq!(status, 202, "{body}");
+    let (status, body) = http_text(&addr, "POST", "/jobs", Some(SMALL_RUN));
+    assert_eq!(status, 202, "{body}");
+    // `http` reads to end of stream: it returns only once the daemon
+    // closes the stream.
+    let (status, events) = http_text(&addr, "GET", "/jobs/j-000002/events", None);
+    assert_eq!(status, 200, "{events}");
+    let lines: Vec<&str> = events.lines().collect();
+    let ranks: Vec<u8> = lines.iter().map(|l| state_rank(l)).collect();
+    assert!(
+        ranks.len() >= 2 && ranks[0] < 2,
+        "expected a non-terminal first snapshot: {events}"
+    );
+    assert!(
+        ranks.windows(2).all(|w| w[0] <= w[1]),
+        "states out of order: {events}"
+    );
+    assert_eq!(
+        ranks.iter().filter(|&&r| r == 2).count(),
+        1,
+        "exactly one terminal line, and it is the last: {events}"
+    );
+    assert!(lines.last().unwrap().contains("\"done\""), "{events}");
+
+    let (status, _) = http_text(&addr, "POST", "/shutdown", None);
+    assert_eq!(status, 202);
+    let exit = daemon.child.wait().expect("wait for daemon");
+    assert!(exit.success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn idle_healthz_round_trip_has_no_poll_delay() {
+    let root = scratch("rtt");
+    let mut daemon = start_daemon(&root);
+    let addr = daemon.addr.clone();
+
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let (status, body) = http_text(&addr, "GET", "/healthz", None);
+            assert_eq!(status, 200, "{body}");
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    // Half of a 50 ms poll period: a timer put back on the request path
+    // shows up in the median.
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(25),
+        "median /healthz round trip {median:?}; all: {rtts:?}"
+    );
+
+    let (status, _) = http_text(&addr, "POST", "/shutdown", None);
+    assert_eq!(status, 202);
     let exit = daemon.child.wait().expect("wait for daemon");
     assert!(exit.success());
     let _ = std::fs::remove_dir_all(&root);

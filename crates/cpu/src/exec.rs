@@ -8,6 +8,7 @@
 //! characters" inference comes from such counts).
 
 use upc_monitor::{MicroOp, Region};
+use vax_arch::opcode::OPCODE_TABLE;
 use vax_arch::psl::AccessMode;
 use vax_arch::{Instruction, Opcode, OpcodeGroup, Psl};
 use vax_mem::trace::TraceEvent;
@@ -136,7 +137,7 @@ pub mod decimal_off {
 
 static SIMPLE_LAYOUT: &[MicroOp] = &[C, C, R, C, W];
 static FIELD_LAYOUT: &[MicroOp] = &[C, C, C, C, R, C, W, C];
-static FLOAT_LAYOUT: &[MicroOp] = &[C; 24];
+static FLOAT_LAYOUT: &[MicroOp] = &[C; FLOAT_MAX_CYCLES as usize];
 static CALLRET_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, W, C, R, C, C, C, C, C];
 static SYSTEM_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, C, C, R, W, C, C];
 static CHAR_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, R, C, C, W, C, C, C];
@@ -820,7 +821,23 @@ fn f64_of(v: u64) -> f64 {
     f64::from_bits(v)
 }
 
-fn float_cycles(op: Opcode) -> u16 {
+/// Execute cycles of the costliest FLOAT-group routine: the FLOAT layout
+/// is exactly this long, so no routine's [`float_cycles`] can run past
+/// the end of its control-store region.
+const FLOAT_MAX_CYCLES: u16 = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < OPCODE_TABLE.len() {
+        let info = &OPCODE_TABLE[i];
+        if matches!(info.group, OpcodeGroup::Float) && float_cycles(info.opcode) > max {
+            max = float_cycles(info.opcode);
+        }
+        i += 1;
+    }
+    max
+};
+
+const fn float_cycles(op: Opcode) -> u16 {
     match op {
         Opcode::Movf | Opcode::Tstf | Opcode::Mnegf | Opcode::Movd | Opcode::Tstd => 2,
         Opcode::Cmpf | Opcode::Cmpd => 4,
@@ -1817,6 +1834,19 @@ mod tests {
         assert_eq!(CHAR_LAYOUT[char_off::WRITE as usize], W);
         assert_eq!(DECIMAL_LAYOUT[decimal_off::READ as usize], R);
         assert_eq!(DECIMAL_LAYOUT[decimal_off::WRITE as usize], W);
+    }
+
+    #[test]
+    fn every_float_routine_fits_its_layout() {
+        // `c_span` past a region's end panics mid-run, so the layout must
+        // cover the costliest FLOAT routine (EDIV), and need be no longer.
+        let costliest = OPCODE_TABLE
+            .iter()
+            .filter(|info| info.group == OpcodeGroup::Float)
+            .map(|info| usize::from(float_cycles(info.opcode)))
+            .max();
+        assert_eq!(costliest, Some(FLOAT_LAYOUT.len()));
+        assert_eq!(usize::from(float_cycles(Opcode::Ediv)), FLOAT_LAYOUT.len());
     }
 
     #[test]

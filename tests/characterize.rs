@@ -189,6 +189,40 @@ fn committed_refutation_fixtures_replay_clean() {
     assert!(replayed >= 1, "no fixtures under {}", dir.display());
 }
 
+#[test]
+fn ediv_probe_cells_record_and_refute_clean() {
+    // EDIV is the costliest FLOAT-group routine: its execute cycles fill
+    // the group's whole control-store layout, so an overrun would panic
+    // every one of these cells into quarantine.
+    let modes = [
+        "register",
+        "register_deferred",
+        "byte_disp",
+        "autoincrement",
+    ];
+    let opts = CharacterizeOptions {
+        opcodes: vec!["EDIV".into()],
+        modes: modes.iter().map(|m| m.to_string()).collect(),
+        ..subset_opts()
+    };
+    let out = run_characterize(&opts, &quiet(), &Tracer::disabled());
+    assert!(out.failed_cells.is_empty(), "{:?}", out.failed_cells);
+    assert_eq!(out.table.records.len(), modes.len());
+    assert!(out.table.records.iter().all(|r| r.opcode == Opcode::Ediv));
+    let refuted = run_refute(&opts, &quiet(), &Tracer::disabled()).unwrap();
+    assert_eq!(refuted.cells_checked, modes.len());
+    assert!(
+        refuted.failed_cells.is_empty(),
+        "{:?}",
+        refuted.failed_cells
+    );
+    assert!(
+        refuted.refuted_cells.is_empty(),
+        "{:?}",
+        refuted.refuted_cells
+    );
+}
+
 fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/characterize-golden/costs.json")
 }
