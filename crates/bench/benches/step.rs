@@ -1,15 +1,20 @@
-//! Raw `Cpu::step` throughput and decode-cache path benches.
+//! Raw `Cpu::step` throughput and hot-path benches.
 //!
 //! `simulator.rs` times whole-system runs through the run loop; this bench
 //! isolates the per-instruction step cost the decode cache optimizes, and
-//! times the cache's hit and miss paths directly so a regression in either
-//! shows up without being averaged into full-run numbers.
+//! times the decode cache's hit and miss paths, the memory system's
+//! memoized TB and cache hits, and system construction directly, so a
+//! regression in any of them shows up without being averaged into
+//! full-run numbers.
 
+use vax_arch::{AddressingMode, Opcode};
+use vax_asm::probe::{probe_loop, probe_target};
 use vax_bench::harness::Bench;
 use vax_cpu::icache::DECODE_CACHE_SLOTS;
 use vax_cpu::{CpuConfig, DecodeCache};
-use vax_mem::{PageTables, PhysAddr, VirtAddr};
-use vax_workload::{build_system, Workload};
+use vax_mem::{MemorySystem, PageTables, PhysAddr, Pte, RefClass, VirtAddr, PAGE_SIZE};
+use vax_workload::rte::{boot_image, shard_processes, PROCESSES_PER_WORKLOAD};
+use vax_workload::{build_system, probe_system, Workload};
 
 /// Steps per timed iteration — large enough to amortize the harness, small
 /// enough that a few iterations still fit a quick run.
@@ -66,6 +71,61 @@ fn bench_icache_paths(b: &mut Bench) {
     });
 }
 
+/// The IB's two memoized paths: a TB probe of the page the last fill used,
+/// and a longword fill of a resident block. Fills walk longwords in order,
+/// two per 8-byte block, as the IB does through straight-line code.
+fn bench_memsys_hits(b: &mut Bench) {
+    let mut ms = MemorySystem::new_780();
+    ms.tables = PageTables {
+        sbr: PhysAddr(0x10000),
+        slr: 64,
+        p0br: VirtAddr(0x8000_0000),
+        p0lr: 16,
+        p1br: VirtAddr(0x8000_0200),
+        p1lr: 16,
+    };
+    for vpn in 0..64u32 {
+        let pte = Pte::valid((0x40000 / PAGE_SIZE) + vpn);
+        ms.phys_mut()
+            .write(PhysAddr(0x10000 + vpn * 4), 4, u64::from(pte.0));
+    }
+    for vpn in 0..16u32 {
+        let pte = Pte::valid((0x80000 / PAGE_SIZE) + vpn);
+        ms.phys_mut()
+            .write(PhysAddr(0x40000 + vpn * 4), 4, u64::from(pte.0));
+    }
+    ms.tb_fill(VirtAddr(0x200), 0).expect("page 1 is mapped");
+    let mut off = 0u32;
+    b.bench("memsys/probe_tb_hit", || {
+        off = (off + 4) & (PAGE_SIZE - 1);
+        ms.probe_tb_at(VirtAddr(0x200 + off), RefClass::IStream, 0)
+    });
+
+    for lw in 0..64u32 {
+        ms.ifetch_cycle(PhysAddr(0x80200 + lw * 4), 0);
+    }
+    let mut lw = 0u32;
+    let mut now = 0u64;
+    b.bench("memsys/ifetch_hit", || {
+        lw = (lw + 1) & 63;
+        now += 1;
+        ms.ifetch_cycle(PhysAddr(0x80200 + lw * 4), now)
+    });
+}
+
+/// System construction: the full layout of a composite cell's boot image
+/// (codegen excluded), and a characterization probe system built and
+/// booted from scratch, which every characterize cell pays.
+fn bench_boot(b: &mut Bench) {
+    let processes = shard_processes(Workload::TimesharingResearch, PROCESSES_PER_WORKLOAD, 7);
+    b.bench_n("boot/build_image", 20, || boot_image(processes.clone()));
+
+    let target = probe_target(Opcode::Addl2, AddressingMode::RegisterDeferred)
+        .expect("ADDL2 (R) is probeable");
+    let probe = probe_loop(Some(&target), 4).expect("probe loop assembles");
+    b.bench_n("boot/probe_system", 50, || probe_system(&probe));
+}
+
 fn bench_config_sanity() {
     // The shipping config has the cache on; keep the bench honest if that
     // ever changes. Read through a runtime value so the check survives the
@@ -82,5 +142,7 @@ fn main() {
     bench_config_sanity();
     bench_step(&mut b);
     bench_icache_paths(&mut b);
+    bench_memsys_hits(&mut b);
+    bench_boot(&mut b);
     b.finish();
 }

@@ -208,3 +208,46 @@ fn fault_seed_runs_are_reproducible_from_the_command_line() {
     std::fs::remove_dir_all(&a).unwrap();
     std::fs::remove_dir_all(&b).unwrap();
 }
+
+/// `tests/fixtures/golden-faulted` was exported by an earlier build with
+/// the arguments below. TB storms, SMC bursts, and parity faults drive
+/// every TB and decode-cache invalidation path, so a fresh run diffing
+/// clean against it shows those paths still produce the same machine.
+#[test]
+fn faulted_run_matches_the_committed_golden_faulted_fixture() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden-faulted");
+    let dir = scratch("golden-faulted");
+    let status = reproduce()
+        .args([
+            "--instructions",
+            "20000",
+            "--seed",
+            "1984",
+            "--interval-cycles",
+            "5000",
+            "--fault-seed",
+            "7",
+            "--fault-classes",
+            "tb-storm,smc,parity",
+            "--format",
+            "json",
+            "--out",
+            &dir.display().to_string(),
+            "--quiet",
+        ])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let out = reproduce()
+        .arg("diff")
+        .arg(&fixture)
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "faulted run drifted from tests/fixtures/golden-faulted:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

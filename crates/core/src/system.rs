@@ -171,7 +171,15 @@ impl SystemBuilder {
     ///
     /// # Panics
     /// Panics if no process was added, or resources are exhausted.
-    pub fn build_image(mut self) -> BootImage {
+    pub fn build_image(self) -> BootImage {
+        self.build_image_and_memory().0
+    }
+
+    /// [`SystemBuilder::build_image`], also handing back the builder's
+    /// memory system and the number of frames the layout allocated, so a
+    /// test can check the image's trim against all of physical memory.
+    #[doc(hidden)]
+    pub fn build_image_and_memory(mut self) -> (BootImage, MemorySystem, u32) {
         assert!(
             !self.processes.is_empty(),
             "a system needs at least one process"
@@ -213,17 +221,26 @@ impl SystemBuilder {
         let mut regs = [0u32; 16];
         regs[14] = kstack_top;
         regs[15] = entries.boot;
-        let all = self.mem.phys().slice(PhysAddr(0), self.mem.phys().size());
-        let used = all.len() - all.iter().rev().take_while(|&&b| b == 0).count();
-        BootImage {
+        // Frames are handed out bottom-up from `next_pfn`, and every store
+        // above lands in an allocated frame: system PTEs in the page table
+        // below the first free frame, process PTEs, images, and PCBs in
+        // frames from `alloc_frame`. Nothing at or above
+        // `next_pfn * PAGE_SIZE` was written, so trimming trailing zeros
+        // within that bound keeps exactly the bytes a whole-memory trim
+        // would, without scanning the untouched rest of the 8 MB.
+        let bound = (self.next_pfn * PAGE_SIZE) as usize;
+        let laid_out = self.mem.phys().slice(PhysAddr(0), bound);
+        let used = bound - laid_out.iter().rev().take_while(|&&b| b == 0).count();
+        let image = BootImage {
             config: self.config,
-            phys: all[..used].to_vec(),
+            phys: laid_out[..used].to_vec(),
             tables: self.mem.tables,
             regs,
             psl: Psl::new_kernel(31),
             nproc: processes.len(),
             entries,
-        }
+        };
+        (image, self.mem, self.next_pfn)
     }
 
     /// Lay out one process: P0 pages (guard/code/bss/stack), page table in

@@ -56,6 +56,12 @@ pub struct Cache {
     pow2: Option<(u32, u32)>,
     lines: Vec<Line>,
     victim: Vec<u8>,
+    /// The two most recent distinct blocks [`Cache::access_read`] found
+    /// resident, stored as `block + 1` (0 = empty). A hit changes no state,
+    /// so a remembered block stays resident until the next install or
+    /// [`Cache::invalidate_all`], which both clear this memo. The IB's
+    /// back-to-back fills of one block then skip the set scan.
+    recent_hits: [u64; 2],
 }
 
 impl Cache {
@@ -82,6 +88,7 @@ impl Cache {
                 .then(|| (sets as u32 - 1, sets.trailing_zeros())),
             lines: vec![Line::default(); sets * config.ways],
             victim: vec![0; sets],
+            recent_hits: [0; 2],
         }
     }
 
@@ -116,12 +123,18 @@ impl Cache {
     /// Read access: returns `true` on hit; on miss, installs the block
     /// (read allocate) and returns `false`.
     pub fn access_read(&mut self, pa: PhysAddr) -> bool {
+        let key = u64::from(pa.0 >> self.block_shift) + 1;
+        if self.recent_hits.contains(&key) {
+            return true;
+        }
         let (set, tag) = self.set_and_tag(pa);
         let base = set * self.config.ways;
         let ways = &mut self.lines[base..base + self.config.ways];
         if ways.iter().any(|l| l.valid && l.tag == tag) {
+            self.recent_hits = [key, self.recent_hits[0]];
             return true;
         }
+        self.recent_hits = [0; 2];
         // Fill: invalid way first, else round-robin victim.
         let slot = ways.iter().position(|l| !l.valid).unwrap_or_else(|| {
             let v = &mut self.victim[set];
@@ -145,6 +158,7 @@ impl Cache {
         for l in &mut self.lines {
             l.valid = false;
         }
+        self.recent_hits = [0; 2];
     }
 
     /// Number of valid lines (diagnostics).

@@ -86,12 +86,22 @@ pub struct TbFill {
     pub pfn: u32,
 }
 
+/// An empty TB memo for both reference streams.
+const NO_TB_MEMO: [(u32, u32); 2] = [(0, 0); 2];
+
 /// The complete memory subsystem of one simulated 11/780.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     phys: PhysicalMemory,
     cache: Cache,
     tb: Tb,
+    /// Last TB hit per [`RefClass`] as `(vpn + 1, pfn)`; a key of 0 marks
+    /// an empty entry. A probe changes no TB state, so the entry
+    /// stays exact until the TB is next mutated: every insert goes through
+    /// [`MemorySystem::tb_insert`] and every invalidation through
+    /// [`MemorySystem::tb_mut`], and both clear the memo. Each IB fill
+    /// probes the TB, almost always for the page the last fill used.
+    tb_memo: [(u32, u32); 2],
     sbi: Sbi,
     wb: WriteBuffer,
     /// Current page-table base registers (swapped on context switch).
@@ -116,6 +126,7 @@ impl MemorySystem {
             phys: PhysicalMemory::new(config.mem_bytes),
             cache: Cache::new(config.cache),
             tb: Tb::new(config.tb),
+            tb_memo: NO_TB_MEMO,
             sbi: Sbi::new(config.sbi),
             wb: WriteBuffer::new(),
             tables: PageTables::empty(),
@@ -189,9 +200,23 @@ impl MemorySystem {
         self.code_watch.invalidate_all();
     }
 
+    /// The translation buffer (diagnostics and sweep experiments).
+    pub fn tb(&self) -> &Tb {
+        &self.tb
+    }
+
     /// The translation buffer (e.g. for LDPCTX to flush the process half).
+    /// The caller may invalidate anything, so this forgets the TB memo.
     pub fn tb_mut(&mut self) -> &mut Tb {
+        self.tb_memo = NO_TB_MEMO;
         &mut self.tb
+    }
+
+    /// Insert a translation, forgetting the TB memo: the insert may evict
+    /// or remap a remembered page.
+    fn tb_insert(&mut self, va: VirtAddr, pfn: u32) {
+        self.tb_memo = NO_TB_MEMO;
+        self.tb.insert(va, pfn);
     }
 
     /// The cache (diagnostics and sweep experiments).
@@ -208,8 +233,16 @@ impl MemorySystem {
 
     /// [`MemorySystem::probe_tb`] with a cycle stamp for the trace bus.
     pub fn probe_tb_at(&mut self, va: VirtAddr, class: RefClass, now: u64) -> Option<PhysAddr> {
+        let key = va.vpn() + 1;
+        let memo = &mut self.tb_memo[class as usize];
+        if memo.0 == key {
+            return Some(PhysAddr::from_pfn(memo.1, va.offset()));
+        }
         match self.tb.probe(va) {
-            Some(pfn) => Some(PhysAddr::from_pfn(pfn, va.offset())),
+            Some(pfn) => {
+                *memo = (key, pfn);
+                Some(PhysAddr::from_pfn(pfn, va.offset()))
+            }
             None => {
                 let stream = match class {
                     RefClass::IStream => {
@@ -260,7 +293,7 @@ impl MemorySystem {
                         if !pte.is_valid() {
                             return Err(TranslateError::LengthViolation(sys_va));
                         }
-                        self.tb.insert(sys_va, pte.pfn());
+                        self.tb_insert(sys_va, pte.pfn());
                         pte.pfn()
                     }
                 };
@@ -273,7 +306,7 @@ impl MemorySystem {
         if !pte.is_valid() {
             return Err(TranslateError::LengthViolation(va));
         }
-        self.tb.insert(va, pte.pfn());
+        self.tb_insert(va, pte.pfn());
         Ok(TbFill {
             pte_reads,
             stall,

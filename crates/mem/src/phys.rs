@@ -57,12 +57,22 @@ impl PhysicalMemory {
     /// physical memory is flat so that is fine.
     pub fn read(&self, pa: PhysAddr, size: u32) -> u64 {
         debug_assert!((1..=8).contains(&size));
-        let mut buf = [0u8; 8];
         let i = self.idx(pa);
         let end = i + size as usize;
         assert!(end <= self.bytes.len(), "read spans end of memory");
-        buf[..size as usize].copy_from_slice(&self.bytes[i..end]);
-        u64::from_le_bytes(buf)
+        // Byte, word and longword accesses are nearly every value access;
+        // fixed-width arms compile to one load instead of a `memcpy` call.
+        let b = &self.bytes[i..end];
+        match b.len() {
+            1 => u64::from(b[0]),
+            2 => u64::from(u16::from_le_bytes([b[0], b[1]])),
+            4 => u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            n => {
+                let mut buf = [0u8; 8];
+                buf[..n].copy_from_slice(b);
+                u64::from_le_bytes(buf)
+            }
+        }
     }
 
     /// Write the low `size` (1–8) bytes of `v` little-endian.
@@ -71,7 +81,13 @@ impl PhysicalMemory {
         let i = self.idx(pa);
         let end = i + size as usize;
         assert!(end <= self.bytes.len(), "write spans end of memory");
-        self.bytes[i..end].copy_from_slice(&v.to_le_bytes()[..size as usize]);
+        let b = &mut self.bytes[i..end];
+        match b.len() {
+            1 => b[0] = v as u8,
+            2 => b.copy_from_slice(&(v as u16).to_le_bytes()),
+            4 => b.copy_from_slice(&(v as u32).to_le_bytes()),
+            n => b.copy_from_slice(&v.to_le_bytes()[..n]),
+        }
     }
 
     /// Copy a slice into memory at `pa` (used by loaders).
