@@ -224,6 +224,15 @@ impl Image {
     }
 }
 
+/// The result of pass 1.
+struct Layout {
+    labels: HashMap<String, u32>,
+    /// Start address of each item.
+    addrs: Vec<u32>,
+    /// Address just past the last item.
+    end: u32,
+}
+
 /// The two-pass assembler.
 #[derive(Debug, Clone)]
 pub struct Asm {
@@ -304,7 +313,7 @@ impl Asm {
         self
     }
 
-    fn item_len(item: &Item, at: u32, labels_known: bool) -> u32 {
+    fn item_len(item: &Item, at: u32) -> u32 {
         match item {
             Item::Insn {
                 opcode, operands, ..
@@ -322,7 +331,6 @@ impl Asm {
                         OperandKind::Branch(w) => len += w.size(),
                     }
                 }
-                let _ = labels_known;
                 len
             }
             Item::Bytes(b) => b.len() as u32,
@@ -332,43 +340,62 @@ impl Asm {
         }
     }
 
+    /// Pass 1: the address of every item, the label table, and the end
+    /// address. Operand values play no part in item lengths, so this is
+    /// the whole layout; pass 2 only encodes into it.
+    fn layout(&self) -> Result<Layout, AsmError> {
+        let mut labels: HashMap<String, u32> = HashMap::new();
+        let mut addrs = Vec::with_capacity(self.items.len());
+        let mut at = self.origin;
+        let mut def_iter = self.label_defs.iter().peekable();
+        for (i, item) in self.items.iter().enumerate() {
+            while let Some((name, idx)) = def_iter.peek() {
+                if *idx == i {
+                    if labels.insert(name.clone(), at).is_some() {
+                        return Err(AsmError::DuplicateLabel(name.clone()));
+                    }
+                    def_iter.next();
+                } else {
+                    break;
+                }
+            }
+            addrs.push(at);
+            at += Self::item_len(item, at);
+        }
+        // Labels at the very end.
+        for (name, idx) in def_iter {
+            if *idx == self.items.len() {
+                if labels.insert(name.clone(), at).is_some() {
+                    return Err(AsmError::DuplicateLabel(name.clone()));
+                }
+            } else {
+                return Err(AsmError::DuplicateLabel(name.clone()));
+            }
+        }
+        Ok(Layout {
+            labels,
+            addrs,
+            end: at,
+        })
+    }
+
+    /// The byte size [`Asm::assemble`] would produce, from pass 1 alone.
+    /// Only layout errors (duplicate labels) are reported; everything pass
+    /// 2 checks is left to `assemble`.
+    ///
+    /// # Errors
+    /// [`AsmError::DuplicateLabel`].
+    pub fn assembled_size(&self) -> Result<u32, AsmError> {
+        Ok(self.layout()?.end - self.origin)
+    }
+
     /// Run both passes and produce the image.
     ///
     /// # Errors
     /// Any [`AsmError`]: undefined/duplicate labels, operand count
     /// mismatches, out-of-range branch displacements.
     pub fn assemble(&self) -> Result<Image, AsmError> {
-        // Pass 1: addresses.
-        let mut labels: HashMap<String, u32> = HashMap::new();
-        let mut addrs = Vec::with_capacity(self.items.len());
-        {
-            let mut at = self.origin;
-            let mut def_iter = self.label_defs.iter().peekable();
-            for (i, item) in self.items.iter().enumerate() {
-                while let Some((name, idx)) = def_iter.peek() {
-                    if *idx == i {
-                        if labels.insert(name.clone(), at).is_some() {
-                            return Err(AsmError::DuplicateLabel(name.clone()));
-                        }
-                        def_iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                addrs.push(at);
-                at += Self::item_len(item, at, false);
-            }
-            // Labels at the very end.
-            for (name, idx) in def_iter {
-                if *idx == self.items.len() {
-                    if labels.insert(name.clone(), at).is_some() {
-                        return Err(AsmError::DuplicateLabel(name.clone()));
-                    }
-                } else {
-                    return Err(AsmError::DuplicateLabel(name.clone()));
-                }
-            }
-        }
+        let Layout { labels, addrs, .. } = self.layout()?;
         // Pass 2: encode.
         let mut bytes = Vec::new();
         for (i, item) in self.items.iter().enumerate() {
@@ -431,7 +458,7 @@ impl Asm {
                             let t = *labels
                                 .get(name)
                                 .ok_or_else(|| AsmError::UndefinedLabel(name.clone()))?;
-                            let insn_len = Self::item_len(item, at, true);
+                            let insn_len = Self::item_len(item, at);
                             let d = t as i64 - (at + insn_len) as i64;
                             let ok = match opcode.operands().iter().find(|k| k.is_branch_disp()) {
                                 Some(OperandKind::Branch(w)) if w.size() == 1 => {
@@ -527,6 +554,7 @@ mod tests {
         let img = asm.assemble().unwrap();
         assert_eq!(img.addr_of("here"), 0x104);
         assert_eq!(img.bytes.len(), 12);
+        assert_eq!(asm.assembled_size(), Ok(12));
     }
 
     #[test]

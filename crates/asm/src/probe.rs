@@ -317,6 +317,18 @@ pub struct ProbeLoop {
 /// Panics if `reps` is 0 with a target, exceeds [`MAX_REPS`], or a
 /// baseline is requested with nonzero reps.
 pub fn probe_loop(target: Option<&ProbeTarget>, reps: u32) -> Result<ProbeLoop, AsmError> {
+    let image = probe_program(target, reps).assemble()?;
+    let loop_bytes = image.end() - image.addr_of("loop");
+    Ok(ProbeLoop {
+        image,
+        reps,
+        period: SCAFFOLD_INSNS + reps,
+        loop_bytes,
+    })
+}
+
+/// The unassembled source of [`probe_loop`].
+fn probe_program(target: Option<&ProbeTarget>, reps: u32) -> Asm {
     match target {
         Some(_) => assert!(
             (1..=MAX_REPS).contains(&reps),
@@ -366,14 +378,7 @@ pub fn probe_loop(target: Option<&ProbeTarget>, reps: u32) -> Result<ProbeLoop, 
         }
     }
     asm.insn(Opcode::Brw, &[], Some("loop"));
-    let image = asm.assemble()?;
-    let loop_bytes = image.end() - image.addr_of("loop");
-    Ok(ProbeLoop {
-        image,
-        reps,
-        period: SCAFFOLD_INSNS + reps,
-        loop_bytes,
-    })
+    asm
 }
 
 #[cfg(test)]
@@ -478,6 +483,22 @@ mod tests {
         let pc_after = ORIGIN + at as u32 + 1 + 5;
         let ea = pc_after.wrapping_add(probe.specifiers[0].value as u32);
         assert_eq!(ea, PTR_ADDR);
+    }
+
+    #[test]
+    fn size_query_matches_assembled_length() {
+        let check = |target: Option<&ProbeTarget>, reps: u32| {
+            let asm = probe_program(target, reps);
+            let len = asm.assemble().unwrap().bytes.len() as u32;
+            assert_eq!(asm.assembled_size(), Ok(len), "{target:?} x{reps}");
+        };
+        check(None, 0);
+        for cell in probe_grid() {
+            if let Ok(t) = cell.target {
+                check(Some(&t), 1);
+                check(Some(&t), MAX_REPS);
+            }
+        }
     }
 
     #[test]

@@ -3,12 +3,16 @@
 //! `simulator.rs` times whole-system runs through the run loop; this bench
 //! isolates the per-instruction step cost the decode cache optimizes, and
 //! times the decode cache's hit and miss paths, the memory system's
-//! memoized TB and cache hits, and system construction directly, so a
+//! memoized TB and cache hits, and per-cell setup directly, so a
 //! regression in any of them shows up without being averaged into
 //! full-run numbers.
 
+use std::sync::Arc;
+
+use vax780::System;
 use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{probe_loop, probe_target};
+use vax_bench::cache::WarmCaches;
 use vax_bench::harness::Bench;
 use vax_cpu::icache::DECODE_CACHE_SLOTS;
 use vax_cpu::{CpuConfig, DecodeCache};
@@ -113,12 +117,31 @@ fn bench_memsys_hits(b: &mut Bench) {
     });
 }
 
-/// System construction: the full layout of a composite cell's boot image
-/// (codegen excluded), and a characterization probe system built and
-/// booted from scratch, which every characterize cell pays.
+/// Per-cell setup: a composite cell's codegen, the full layout of its boot
+/// image, a warm-cache boot hit (key plus rehydrate), rehydration alone,
+/// and a characterization probe system built and booted from scratch,
+/// which every characterize cell pays.
 fn bench_boot(b: &mut Bench) {
+    b.bench_n("codegen/shard_processes", 20, || {
+        shard_processes(Workload::TimesharingResearch, PROCESSES_PER_WORKLOAD, 7)
+    });
+
     let processes = shard_processes(Workload::TimesharingResearch, PROCESSES_PER_WORKLOAD, 7);
     b.bench_n("boot/build_image", 20, || boot_image(processes.clone()));
+
+    let caches = WarmCaches::new();
+    let specs = Arc::new(processes.clone());
+    caches.boot(&specs);
+    b.bench_n("boot/warm_hit", 50, || {
+        let (system, hit) = caches.boot(&specs);
+        assert!(hit, "the second boot of the same specs must hit");
+        system
+    });
+
+    let image = boot_image(processes);
+    b.bench_n("boot/from_boot_image", 50, || {
+        System::from_boot_image(&image)
+    });
 
     let target = probe_target(Opcode::Addl2, AddressingMode::RegisterDeferred)
         .expect("ADDL2 (R) is probeable");

@@ -6,8 +6,10 @@
 //! `reproduce serve` daemon) executes a *second* job with the same
 //! experiment definition, which then skips codegen and boot entirely.
 //!
-//! Keys are FNV-1a hashes of the *content* that determines the phase's
-//! output, never of argv or wall-clock state:
+//! Keys are 64-bit hashes of the *content* that determines the phase's
+//! output, never of argv or wall-clock state. The hash is an FNV-style
+//! fold over 8-byte little-endian words (only a sub-word tail goes byte
+//! by byte), with every variable-length field preceded by its length:
 //!
 //! * workload images — `(workload name, nproc, seed)`, the exact inputs of
 //!   [`vax_workload::rte::shard_processes`];
@@ -33,8 +35,8 @@ use vax_workload::Workload;
 
 /// Most distinct `(workload, nproc, seed)` image sets retained.
 const WORKLOAD_CACHE_CAP: usize = 256;
-/// Most distinct booted-kernel images retained (each is a trimmed
-/// physical-memory snapshot, typically a few hundred kilobytes).
+/// Most distinct booted-kernel images retained (each holds only the
+/// physical pages with a nonzero byte, about 90 KB for a composite cell).
 const BOOT_CACHE_CAP: usize = 64;
 
 /// Cumulative hit/miss counts for one cache.
@@ -57,7 +59,7 @@ pub struct WarmCaches {
     boot_misses: AtomicU64,
 }
 
-/// 64-bit FNV-1a over a byte stream.
+/// A 64-bit FNV-style hash that folds its input a word at a time.
 #[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
@@ -69,15 +71,28 @@ impl Fnv {
         Fnv(Self::OFFSET)
     }
 
+    /// One round: xor, multiply, rotate. Each step is a bijection of the
+    /// state, so two inputs that differ in one word never collide. The
+    /// multiply only carries upward; the rotate feeds the high bits back
+    /// into the low ones, so equal flips in two words do not cancel.
+    fn mix(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(Self::PRIME).rotate_left(23);
+    }
+
+    /// Fold `data` as little-endian 8-byte words, then its tail byte by
+    /// byte. Callers hash the length first, so the tail is unambiguous.
     fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        for &b in words.remainder() {
+            self.mix(u64::from(b));
         }
     }
 
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.mix(v);
     }
 
     /// Hash a length-delimited string (delimiting prevents concatenation
@@ -220,10 +235,37 @@ mod tests {
     fn boot_key_tracks_spec_content() {
         let caches = WarmCaches::new();
         let (specs, _) = caches.processes(Workload::SciEng, 2, 11);
-        let (_, _) = caches.boot(&specs);
-        let mut mutated = specs.as_ref().clone();
-        mutated[0].image.bytes[0] ^= 0xFF;
-        let (_, hit) = caches.boot(&Arc::new(mutated));
-        assert!(!hit, "changed code bytes must change the boot key");
+        // Generated images are whole words long; three more bytes give the
+        // first image a sub-word tail.
+        let mut base = specs.as_ref().clone();
+        base[0].image.bytes.extend_from_slice(&[1, 2, 3]);
+        let base = Arc::new(base);
+        let (_, _) = caches.boot(&base);
+        let misses = |mutate: &dyn Fn(&mut Vec<ProcessSpec>)| {
+            let mut mutated = base.as_ref().clone();
+            mutate(&mut mutated);
+            !caches.boot(&Arc::new(mutated)).1
+        };
+        // Every byte of the first two words of the image body.
+        for i in 0..16 {
+            assert!(
+                misses(&|m| m[0].image.bytes[i] ^= 0xFF),
+                "flipping code byte {i} must change the boot key"
+            );
+        }
+        let last = base[0].image.bytes.len() - 1;
+        assert!(
+            misses(&|m| m[0].image.bytes[last] ^= 0xFF),
+            "flipping the last (tail) byte must change the boot key"
+        );
+        assert!(
+            misses(&|m| m[0].image.bytes.push(0)),
+            "appending a zero byte must change the boot key"
+        );
+        assert!(
+            misses(&|m| m[1].image.bytes[0] ^= 0xFF),
+            "the second process's bytes must be keyed too"
+        );
+        assert!(caches.boot(&base).1, "the unmutated specs still hit");
     }
 }

@@ -74,6 +74,28 @@ pub struct KernelEntries {
 /// Panics if assembly fails — the kernel is generated code, so a failure is
 /// a bug, not an input error.
 pub fn build(origin: u32, pcb_vas: &[u32], config: KernelConfig) -> (Image, KernelEntries) {
+    let mut image = program(origin, pcb_vas, config)
+        .assemble()
+        .expect("kernel assembly failed");
+    // Patch qhead to be a self-linked (empty) queue.
+    let qhead = image.addr_of("qhead");
+    let off = (qhead - image.origin) as usize;
+    image.bytes[off..off + 4].copy_from_slice(&qhead.to_le_bytes());
+    image.bytes[off + 4..off + 8].copy_from_slice(&qhead.to_le_bytes());
+
+    let entries = KernelEntries {
+        boot: image.addr_of("boot"),
+        timer_isr: image.addr_of("timer_isr"),
+        softint_isr: image.addr_of("softint_isr"),
+        chmk_handler: image.addr_of("chmk_handler"),
+        mchk_isr: image.addr_of("mchk_isr"),
+        device_isr: image.addr_of("device_isr"),
+    };
+    (image, entries)
+}
+
+/// The unassembled kernel source that [`build`] assembles and patches.
+fn program(origin: u32, pcb_vas: &[u32], config: KernelConfig) -> Asm {
     assert!(!pcb_vas.is_empty(), "kernel needs at least one process");
     let mut a = Asm::new(origin);
 
@@ -252,23 +274,7 @@ pub fn build(origin: u32, pcb_vas: &[u32], config: KernelConfig) -> (Image, Kern
     for &pcb in pcb_vas {
         a.long(pcb);
     }
-
-    let mut image = a.assemble().expect("kernel assembly failed");
-    // Patch qhead to be a self-linked (empty) queue.
-    let qhead = image.addr_of("qhead");
-    let off = (qhead - image.origin) as usize;
-    image.bytes[off..off + 4].copy_from_slice(&qhead.to_le_bytes());
-    image.bytes[off + 4..off + 8].copy_from_slice(&qhead.to_le_bytes());
-
-    let entries = KernelEntries {
-        boot: image.addr_of("boot"),
-        timer_isr: image.addr_of("timer_isr"),
-        softint_isr: image.addr_of("softint_isr"),
-        chmk_handler: image.addr_of("chmk_handler"),
-        mchk_isr: image.addr_of("mchk_isr"),
-        device_isr: image.addr_of("device_isr"),
-    };
-    (image, entries)
+    a
 }
 
 #[cfg(test)]
@@ -289,6 +295,16 @@ mod tests {
         let off = (image.addr_of("qhead") - image.origin) as usize;
         let flink = u32::from_le_bytes(image.bytes[off..off + 4].try_into().unwrap());
         assert_eq!(flink, image.addr_of("qhead"));
+    }
+
+    #[test]
+    fn size_query_matches_assembled_length() {
+        for nproc in [1u32, 6, 40] {
+            let pcbs: Vec<u32> = (0..nproc).map(|i| 0x8000_1000 + i * 0x200).collect();
+            let asm = program(0x8000_0200, &pcbs, KernelConfig::default());
+            let len = asm.assemble().unwrap().bytes.len() as u32;
+            assert_eq!(asm.assembled_size(), Ok(len), "{nproc} processes");
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl SystemBuilder {
 
     /// [`SystemBuilder::build_image`], also handing back the builder's
     /// memory system and the number of frames the layout allocated, so a
-    /// test can check the image's trim against all of physical memory.
+    /// test can check the image's pages against all of physical memory.
     #[doc(hidden)]
     pub fn build_image_and_memory(mut self) -> (BootImage, MemorySystem, u32) {
         assert!(
@@ -192,13 +192,12 @@ impl SystemBuilder {
             pcb_vas.push(pcb.0);
         }
 
-        // Kernel image in system space.
-        let kcfg = self.config.kernel;
-        // Assemble once at a provisional origin to learn the size.
-        let (probe, _) = kernel::build(S0_BASE + self.next_sys_page * PAGE_SIZE, &pcb_vas, kcfg);
-        let kpages = (probe.bytes.len() as u32).div_ceil(PAGE_SIZE);
+        // Kernel image in system space, assembled at the next free system
+        // page: the base `alloc_sys_pages` hands out for its pages.
+        let korigin = S0_BASE + self.next_sys_page * PAGE_SIZE;
+        let (kimage, entries) = kernel::build(korigin, &pcb_vas, self.config.kernel);
+        let kpages = (kimage.bytes.len() as u32).div_ceil(PAGE_SIZE);
         let kbase = self.alloc_sys_pages(kpages);
-        let (kimage, entries) = kernel::build(kbase.0, &pcb_vas, kcfg);
         assert_eq!(kimage.origin, kbase.0);
         self.poke(kbase, &kimage.bytes);
 
@@ -225,15 +224,25 @@ impl SystemBuilder {
         // above lands in an allocated frame: system PTEs in the page table
         // below the first free frame, process PTEs, images, and PCBs in
         // frames from `alloc_frame`. Nothing at or above
-        // `next_pfn * PAGE_SIZE` was written, so trimming trailing zeros
-        // within that bound keeps exactly the bytes a whole-memory trim
-        // would, without scanning the untouched rest of the 8 MB.
-        let bound = (self.next_pfn * PAGE_SIZE) as usize;
-        let laid_out = self.mem.phys().slice(PhysAddr(0), bound);
-        let used = bound - laid_out.iter().rev().take_while(|&&b| b == 0).count();
+        // `next_pfn * PAGE_SIZE` was written, so the pages below that bound
+        // that hold a nonzero byte are the whole of memory's content.
+        let laid_out = self
+            .mem
+            .phys()
+            .slice(PhysAddr(0), (self.next_pfn * PAGE_SIZE) as usize);
+        let mut frames = Vec::new();
+        let mut pages = Vec::new();
+        for (pfn, page) in laid_out.chunks_exact(PAGE_SIZE as usize).enumerate() {
+            // A branch-free OR over the page vectorizes; most pages are zero.
+            if page.iter().fold(0, |acc, &b| acc | b) != 0 {
+                frames.push(pfn as u32);
+                pages.extend_from_slice(page);
+            }
+        }
         let image = BootImage {
             config: self.config,
-            phys: laid_out[..used].to_vec(),
+            frames,
+            pages,
             tables: self.mem.tables,
             regs,
             psl: Psl::new_kernel(31),
@@ -297,16 +306,21 @@ impl SystemBuilder {
     }
 }
 
-/// A booted machine captured as plain data: the physical-memory contents
-/// after layout (trimmed of trailing zero bytes), the page-table registers,
-/// and the boot register file. Unlike [`System`] this is `Send`, so a warm
-/// cache can hand one image to any worker thread; rehydration via
-/// [`System::from_boot_image`] costs a memcpy instead of a full layout.
+/// A booted machine captured as plain data: the physical pages that hold
+/// a nonzero byte after layout, the page-table registers, and the boot
+/// register file. Unlike [`System`] this is `Send`, so a warm cache can
+/// hand one image to any worker thread; rehydration via
+/// [`System::from_boot_image`] copies the retained pages instead of
+/// running a full layout.
 #[derive(Debug, Clone)]
 pub struct BootImage {
     config: SystemConfig,
-    /// Physical memory up to the last nonzero byte; the rest is zero.
-    phys: Vec<u8>,
+    /// Frame numbers of the retained pages, ascending; every other page of
+    /// physical memory is zero.
+    frames: Vec<u32>,
+    /// The retained pages' contents, `PAGE_SIZE` bytes per entry of
+    /// `frames`, in the same order.
+    pages: Vec<u8>,
     tables: PageTables,
     regs: [u32; 16],
     psl: Psl,
@@ -320,9 +334,15 @@ impl BootImage {
         self.config
     }
 
-    /// Size in bytes of the retained (nonzero) physical-memory prefix.
+    /// Frame numbers of the retained pages (those holding a nonzero
+    /// byte), ascending.
+    pub fn frames(&self) -> &[u32] {
+        &self.frames
+    }
+
+    /// Size in bytes of the retained pages: `PAGE_SIZE` per frame.
     pub fn retained_bytes(&self) -> usize {
-        self.phys.len()
+        self.pages.len()
     }
 }
 
@@ -351,13 +371,20 @@ pub struct System {
 impl System {
     /// Rehydrate a machine from a captured [`BootImage`]: fresh memory
     /// system (cold cache, TB, and write buffer — exactly the reset state a
-    /// cold build leaves them in), image bytes loaded, table registers and
-    /// boot register file restored. [`SystemBuilder::build`] routes through
+    /// cold build leaves them in), retained pages loaded, table registers
+    /// and boot register file restored. [`SystemBuilder::build`] routes through
     /// this, so restored and freshly built machines are indistinguishable.
     pub fn from_boot_image(img: &BootImage) -> System {
         let mut mem = MemorySystem::new(img.config.mem);
         mem.tables = img.tables;
-        mem.phys_mut().load(PhysAddr(0), &img.phys);
+        let phys = mem.phys_mut();
+        for (&pfn, page) in img
+            .frames
+            .iter()
+            .zip(img.pages.chunks_exact(PAGE_SIZE as usize))
+        {
+            phys.load(PhysAddr(pfn * PAGE_SIZE), page);
+        }
         let mut cpu = Cpu::new(img.config.cpu, mem);
         cpu.regs = img.regs;
         cpu.psl = img.psl;
@@ -616,7 +643,7 @@ mod tests {
             b.build_image()
         };
         assert!(image.retained_bytes() > 0);
-        assert!(image.retained_bytes() < 8 << 20, "image must be trimmed");
+        assert!(image.retained_bytes() < 8 << 20, "image must be sparse");
         let measure = |sys: &mut System| sys.measure(2_000, 10_000);
         let a = measure(&mut System::from_boot_image(&image));
         let b = measure(&mut System::from_boot_image(&image));

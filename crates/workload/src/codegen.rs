@@ -1108,7 +1108,8 @@ impl<'p> Gen<'p> {
         self.asm.block(d.wsb_end - d.wsb);
     }
 
-    fn generate(mut self) -> ProcessSpec {
+    /// Emit the startup code, the routines, and the subroutines.
+    fn emit_code(&mut self) {
         // Name routines and assign levels.
         let n = self.p.routines.max(4);
         for i in 0..n {
@@ -1137,18 +1138,24 @@ impl<'p> Gen<'p> {
                 self.emit_sub(&sub_name);
             }
         }
-        // Size the code (data labels are not referenced by code, so this
-        // assembles standalone).
+    }
+
+    /// Size of the code emitted so far, checked against the data base.
+    fn code_size(&self) -> u32 {
         let code_size = self
             .asm
-            .assemble()
-            .expect("generated code must assemble")
-            .bytes
-            .len() as u32;
+            .assembled_size()
+            .expect("generated code must lay out");
         assert!(
             ORIGIN + code_size <= DATA_BASE,
             "generated code ({code_size} bytes) overflows the data base"
         );
+        code_size
+    }
+
+    fn generate(mut self) -> ProcessSpec {
+        self.emit_code();
+        let code_size = self.code_size();
         self.emit_data(code_size);
         let image = self
             .asm
@@ -1168,7 +1175,7 @@ pub fn generate_process(profile: &WorkloadProfile, seed: u64) -> ProcessSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::WorkloadProfile;
+    use crate::profile::{Workload, WorkloadProfile};
 
     #[test]
     fn generates_valid_program() {
@@ -1187,6 +1194,24 @@ mod tests {
         let c = generate_process(&p, 8);
         assert_eq!(a.image.bytes, b.image.bytes);
         assert_ne!(a.image.bytes, c.image.bytes);
+    }
+
+    /// The size query `generate` sizes the code with agrees with a full
+    /// assembly, before and after the data is appended.
+    #[test]
+    fn size_query_matches_assembled_length() {
+        for w in Workload::ALL {
+            let p = w.profile();
+            for seed in [1, 7, 1984, 0x9E37_79B9_7F4A_7C15] {
+                let mut g = Gen::new(&p, seed);
+                g.emit_code();
+                let code = g.asm.assemble().unwrap().bytes.len() as u32;
+                assert_eq!(g.code_size(), code, "{} seed {seed}: code", w.name());
+                g.emit_data(code);
+                let all = g.asm.assemble().unwrap().bytes.len() as u32;
+                assert_eq!(g.asm.assembled_size(), Ok(all), "{} seed {seed}", w.name());
+            }
+        }
     }
 
     #[test]
